@@ -130,7 +130,9 @@ std::vector<bench::TimingRecord> run_parallel_sweep() {
   obs::set_trace_enabled(true);
   for (const int threads : sweep) {
     util::set_global_threads(threads);
-    const auto fresh = mesh;  // cold caches for every run
+    // A separate assembly, not a copy: copies share the ordering and
+    // symbolic cache, so every thread count starts cold.
+    const auto fresh = circuit::make_rc_mesh(mp);
     obs::reset_trace();
     WallTimer timer;
     const auto result = mor::pmtbr(fresh, opts);

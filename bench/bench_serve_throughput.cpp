@@ -17,7 +17,6 @@
 #include "circuit/generators.hpp"
 #include "serve/model_cache.hpp"
 #include "serve/service.hpp"
-#include "sparse/factor_cache.hpp"
 #include "util/obs/counters.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
@@ -62,9 +61,8 @@ struct SweepPoint {
 SweepPoint run_sweep(int runners) {
   // Rebuild the batch per sweep so every runner count reduces the same set
   // of systems (the rng stream is a pure function of the seed). Each sweep
-  // gets a fresh service (fresh model cache) and a cold factor cache, so
-  // runner counts stay comparable.
-  sparse::FactorCache::global().clear();
+  // gets a fresh service, hence a cold model cache, so runner counts stay
+  // comparable.
   Rng rng(7);
   serve::ReductionService svc({.runners = runners, .max_queue = kBatch});
   WallTimer timer;
@@ -107,13 +105,12 @@ struct RepeatedWorkload {
   double warm_jobs_per_second = 0.0;
   serve::ServiceStats stats;
   util::CacheStats model;
-  util::CacheStats factor;
+  util::CacheStats sampling;
 };
 
 RepeatedWorkload run_repeated_workload() {
   constexpr int kWave = 12;
   constexpr int kWarmWaves = 3;
-  sparse::FactorCache::global().clear();
   serve::ReductionService svc({.runners = 4, .max_queue = kWave});
 
   // Deterministic, index-distinct jobs: every wave resubmits bit-identical
@@ -145,7 +142,7 @@ RepeatedWorkload run_repeated_workload() {
       rep.warm_wall_seconds > 0 ? kWarmWaves * kWave / rep.warm_wall_seconds : 0.0;
   rep.stats = svc.stats();
   rep.model = svc.model_cache_stats();
-  rep.factor = sparse::FactorCache::global().stats();
+  rep.sampling = svc.sampling_cache_stats();
   return rep;
 }
 
@@ -277,6 +274,6 @@ int main() {
   if (!artifact.empty()) bench::note("timing artifact: " + artifact);
   bench::write_run_manifest("serve_throughput",
                             {serve::serve_extra(rep.stats),
-                             serve::cache_extra(rep.model, rep.factor)});
+                             serve::cache_extra(rep.model, rep.sampling)});
   return 0;
 }

@@ -6,10 +6,8 @@
 #include "la/cholesky.hpp"
 #include "la/lu.hpp"
 #include "la/ops.hpp"
-#include "sparse/factor_cache.hpp"
 #include "sparse/rcm.hpp"
 #include "sparse/splu.hpp"
-#include "util/faultinject.hpp"
 #include "util/obs/counters.hpp"
 #include "util/obs/trace.hpp"
 #include "util/thread_pool.hpp"
@@ -147,61 +145,18 @@ void regularize_diagonal(sparse::CsrC& m, double rel) {
 
 }  // namespace
 
-sparse::SparseLuC DescriptorSystem::factor_shifted(cd s) const {
-  auto lu = try_factor_shifted(s, 0.0);
-  if (!lu.is_ok()) throw util::StatusError(lu.status());
-  return std::move(lu).value();
-}
-
 util::Expected<sparse::SparseLuC> DescriptorSystem::try_factor_shifted(cd s,
                                                                        double diag_reg) const {
   auto sym = try_symbolic_for(s);
   if (!sym.is_ok()) return sym.status();
-  return numeric_factor(*sym.value(), s, diag_reg);
-}
-
-util::Expected<sparse::SparseLuC> DescriptorSystem::numeric_factor(
-    const sparse::SymbolicLuC& symbolic, cd s, double diag_reg) const {
   PMTBR_TRACE_SCOPE("descriptor.factor_shifted");
   sparse::CsrC pencil = sparse::shifted_pencil(s, e_, a_);
   if (diag_reg > 0.0) regularize_diagonal(pencil, diag_reg);
-  auto lu = sparse::SparseLuC::refactor(symbolic, pencil);
+  auto lu = sparse::SparseLuC::refactor(*sym.value(), pencil);
   if (lu.is_ok()) return lu;
   // Frozen pivot order degenerate at this shift: full factorization with
   // fresh pivoting (deterministic — depends only on the pencil values).
   return sparse::SparseLuC::factor(pencil, ordering());
-}
-
-util::Expected<std::shared_ptr<const sparse::SparseLuC>> DescriptorSystem::try_shared_factor(
-    cd s, double diag_reg) const {
-  auto sym = try_symbolic_for(s);
-  if (!sym.is_ok()) return sym.status();
-  sparse::FactorCache& cache = sparse::FactorCache::global();
-  // Regularized factors are one-off rescues; injected faults are keyed per
-  // solve attempt, so serving cached factors under an armed injector would
-  // skip failure sites the robustness suite accounts for exactly.
-  const bool cacheable = !(diag_reg > 0.0) && cache.enabled() && !util::fault::enabled();
-  if (!cacheable) {
-    auto lu = numeric_factor(*sym.value(), s, diag_reg);
-    if (!lu.is_ok()) return lu.status();
-    return std::make_shared<const sparse::SparseLuC>(std::move(lu).value());
-  }
-  util::FingerprintHasher h;
-  const util::Fingerprint content = content_fingerprint();
-  const util::Fingerprint structure = sym.value()->fingerprint();
-  h.mix(content.hi);
-  h.mix(content.lo);
-  h.mix(structure.hi);
-  h.mix(structure.lo);
-  h.mix_double(s.real());
-  h.mix_double(s.imag());
-  const util::Fingerprint key = h.digest();
-  if (auto hit = cache.lookup(key)) return hit;
-  auto lu = numeric_factor(*sym.value(), s, diag_reg);
-  if (!lu.is_ok()) return lu.status();
-  auto shared = std::make_shared<const sparse::SparseLuC>(std::move(lu).value());
-  cache.insert(key, shared);
-  return shared;
 }
 
 MatC DescriptorSystem::solve_shifted(cd s, const MatC& rhs) const {
@@ -214,9 +169,9 @@ util::Expected<MatC> DescriptorSystem::try_solve_shifted(cd s, const MatC& rhs,
                                                          double diag_reg) const {
   PMTBR_TRACE_SCOPE("descriptor.solve_shifted");
   obs::counter_add(obs::Counter::kShiftedSolve);
-  auto lu = try_shared_factor(s, diag_reg);
+  auto lu = try_factor_shifted(s, diag_reg);
   if (!lu.is_ok()) return lu.status();
-  return lu.value()->solve(rhs);
+  return lu.value().solve(rhs);
 }
 
 util::Expected<MatC> DescriptorSystem::try_transfer(cd s, double diag_reg) const {
@@ -228,24 +183,22 @@ util::Expected<MatC> DescriptorSystem::try_transfer(cd s, double diag_reg) const
 MatC DescriptorSystem::solve_shifted_adjoint(cd s, const MatC& rhs) const {
   PMTBR_TRACE_SCOPE("descriptor.solve_shifted_adjoint");
   obs::counter_add(obs::Counter::kShiftedSolve);
-  auto shared = try_shared_factor(s, 0.0);
-  if (!shared.is_ok()) throw util::StatusError(shared.status());
-  const sparse::SparseLuC& lu = *shared.value();
+  auto lu = try_factor_shifted(s, 0.0);
+  if (!lu.is_ok()) throw util::StatusError(lu.status());
   MatC x(rhs.rows(), rhs.cols());
   util::parallel_for(0, rhs.cols(),
-                     [&](index j) { x.set_col(j, lu.solve_adjoint(rhs.col(j))); });
+                     [&](index j) { x.set_col(j, lu.value().solve_adjoint(rhs.col(j))); });
   return x;
 }
 
 MatC DescriptorSystem::solve_shifted_transpose(cd s, const MatC& rhs) const {
   PMTBR_TRACE_SCOPE("descriptor.solve_shifted_transpose");
   obs::counter_add(obs::Counter::kShiftedSolve);
-  auto shared = try_shared_factor(s, 0.0);
-  if (!shared.is_ok()) throw util::StatusError(shared.status());
-  const sparse::SparseLuC& lu = *shared.value();
+  auto lu = try_factor_shifted(s, 0.0);
+  if (!lu.is_ok()) throw util::StatusError(lu.status());
   MatC x(rhs.rows(), rhs.cols());
   util::parallel_for(0, rhs.cols(),
-                     [&](index j) { x.set_col(j, lu.solve_transpose(rhs.col(j))); });
+                     [&](index j) { x.set_col(j, lu.value().solve_transpose(rhs.col(j))); });
   return x;
 }
 

@@ -96,8 +96,8 @@ class DescriptorSystem {
   /// (dimensions included; name-like metadata is none of this class's
   /// business). Computed lazily and cached alongside the symbolic
   /// analysis, so copies of a system share it. Equal fingerprints mean
-  /// bit-identical matrices — the keying ground truth for the cross-job
-  /// model and factor caches (docs/SERVING.md).
+  /// bit-identical matrices — the keying ground truth for the service's
+  /// model cache (docs/SERVING.md).
   util::Fingerprint content_fingerprint() const;
 
  private:
@@ -120,18 +120,9 @@ class DescriptorSystem {
       PMTBR_REQUIRES(cache.mutex);
   std::shared_ptr<const sparse::SymbolicLuC> symbolic_for(la::cd s) const;
   util::Expected<std::shared_ptr<const sparse::SymbolicLuC>> try_symbolic_for(la::cd s) const;
-  sparse::SparseLuC factor_shifted(la::cd s) const;
+  /// Numeric factorization at shift `s`: a replay of the cached symbolic
+  /// analysis, with a full-factor fallback on a degenerate frozen pivot.
   util::Expected<sparse::SparseLuC> try_factor_shifted(la::cd s, double diag_reg) const;
-  /// Numeric phase against an already-resolved symbolic analysis (replay,
-  /// full-factor fallback on a degenerate frozen pivot).
-  util::Expected<sparse::SparseLuC> numeric_factor(const sparse::SymbolicLuC& symbolic,
-                                                   la::cd s, double diag_reg) const;
-  /// Factorization for solves, consulting the process-wide factor cache
-  /// (sparse/factor_cache) when eligible: diag_reg == 0, cache enabled,
-  /// fault injection disarmed. Exactly one try_symbolic_for lookup either
-  /// way, so the symbolic hit/miss counters are unaffected by caching.
-  util::Expected<std::shared_ptr<const sparse::SparseLuC>> try_shared_factor(
-      la::cd s, double diag_reg) const;
 
   sparse::CsrD e_, a_;
   la::MatD b_, c_;

@@ -240,13 +240,11 @@ std::pair<std::string, std::string> degradation_extra(const DegradeReport& repor
   return {"degradation", os.str()};
 }
 
-PmtbrResult pmtbr_with_samples(const DescriptorSystem& sys,
-                               const std::vector<FrequencySample>& samples,
-                               const PmtbrOptions& opts) {
+SamplingStage pmtbr_sample(const DescriptorSystem& sys,
+                           const std::vector<FrequencySample>& samples,
+                           const PmtbrOptions& opts) {
   PMTBR_REQUIRE(!samples.empty(), "need at least one frequency sample");
-  PMTBR_TRACE_SCOPE("pmtbr");
-  IncrementalCompressor comp(sys.n(), 1e-13, opts.compressor);
-  PmtbrResult out;
+  SamplingStage stage{IncrementalCompressor(sys.n(), 1e-13, opts.compressor), {}, {}};
   DegradeState st;
 
   const std::vector<FrequencySample> eff = effective_samples(samples, opts);
@@ -283,19 +281,18 @@ PmtbrResult pmtbr_with_samples(const DescriptorSystem& sys,
       opts.cancel.throw_if_cancelled();
       const std::vector<index> survivors = degrade_window(outcomes, eff, base, st);
       for (index k : survivors) {
-        comp.add_columns(outcomes[static_cast<std::size_t>(k)].value().block);
+        stage.compressor.add_columns(outcomes[static_cast<std::size_t>(k)].value().block);
         obs::counter_add(obs::Counter::kPmtbrSamples);
-        out.samples_used.push_back(eff[static_cast<std::size_t>(base + k)]);
+        stage.samples_used.push_back(eff[static_cast<std::size_t>(base + k)]);
 
-        if (adaptive && static_cast<index>(out.samples_used.size()) >= opts.min_samples) {
+        const auto used = static_cast<index>(stage.samples_used.size());
+        if (adaptive && used >= opts.min_samples) {
           // Stop when the sample count comfortably exceeds the order
           // estimate (the paper's "samples in excess of the model order"
           // criterion).
-          const index est = comp.order_for_tolerance(opts.truncation_tol);
-          if (static_cast<double>(out.samples_used.size()) >=
-              opts.adaptive_excess * static_cast<double>(est)) {
-            log_debug("pmtbr: adaptive stop after ", out.samples_used.size(), " samples (order ~",
-                      est, ")");
+          const index est = stage.compressor.order_for_tolerance(opts.truncation_tol);
+          if (static_cast<double>(used) >= opts.adaptive_excess * static_cast<double>(est)) {
+            log_debug("pmtbr: adaptive stop after ", used, " samples (order ~", est, ")");
             obs::counter_add(obs::Counter::kPmtbrAdaptiveStops);
             stopped = true;
             break;
@@ -305,31 +302,23 @@ PmtbrResult pmtbr_with_samples(const DescriptorSystem& sys,
     }
     enforce_coverage_floor(st, opts.resilience);
   }
-  out.degradation = std::move(st.report);
-
-  const index order = choose_order(comp, opts);
-  {
-    PMTBR_TRACE_SCOPE("pmtbr.project");
-    MatD v = comp.basis(order);
-    out.model.v = v;
-    out.model.w = v;
-    out.model.system = project_congruence(sys, v);
-  }
-  out.model.singular_values = comp.singular_values();
-  out.hankel_estimates.reserve(out.model.singular_values.size());
-  for (const double s : out.model.singular_values)
-    out.hankel_estimates.push_back(s * s);
-  return out;
+  stage.degradation = std::move(st.report);
+  return stage;
 }
 
-PmtbrResult pmtbr_adaptive(const DescriptorSystem& sys, const AdaptiveOptions& aopts,
-                           const PmtbrOptions& opts) {
+SamplingStage pmtbr_sample(const DescriptorSystem& sys, const PmtbrOptions& opts) {
+  PMTBR_REQUIRE(sys.n() > 0, "pmtbr needs a nonempty system");
+  PMTBR_REQUIRE(!opts.bands.empty(), "pmtbr needs at least one frequency band");
+  PMTBR_REQUIRE(opts.num_samples >= 1, "pmtbr needs at least one sample");
+  PMTBR_REQUIRE(opts.truncation_tol >= 0, "truncation_tol must be nonnegative");
+  return pmtbr_sample(sys, sample_bands(opts.bands, opts.num_samples, opts.scheme), opts);
+}
+
+SamplingStage pmtbr_sample_adaptive(const DescriptorSystem& sys, const AdaptiveOptions& aopts,
+                                    const PmtbrOptions& opts) {
   PMTBR_REQUIRE(aopts.initial_samples >= 2, "need at least two initial samples");
   PMTBR_REQUIRE(aopts.max_samples >= aopts.initial_samples, "budget below initial samples");
-  PMTBR_TRACE_SCOPE("pmtbr_adaptive");
-
-  IncrementalCompressor comp(sys.n(), 1e-13, opts.compressor);
-  PmtbrResult out;
+  SamplingStage stage{IncrementalCompressor(sys.n(), 1e-13, opts.compressor), {}, {}};
   DegradeState st;
 
   // Novelty of a sample: residual norm of its block after projection onto
@@ -365,9 +354,9 @@ PmtbrResult pmtbr_adaptive(const DescriptorSystem& sys, const AdaptiveOptions& a
     if (oc.regularized) ++st.report.regularized;
     st.surviving_w += fs.weight;
     max_block_norm = std::max(max_block_norm, la::norm_fro(oc.block));
-    const double res = comp.add_columns(oc.block);
+    const double res = stage.compressor.add_columns(oc.block);
     obs::counter_add(obs::Counter::kPmtbrSamples);
-    out.samples_used.push_back(fs);
+    stage.samples_used.push_back(fs);
     return res;
   };
 
@@ -383,7 +372,7 @@ PmtbrResult pmtbr_adaptive(const DescriptorSystem& sys, const AdaptiveOptions& a
   }
 
   // Greedy bisection.
-  while (static_cast<index>(out.samples_used.size()) < aopts.max_samples) {
+  while (static_cast<index>(stage.samples_used.size()) < aopts.max_samples) {
     std::size_t best = 0;
     for (std::size_t i = 1; i < intervals.size(); ++i)
       if (intervals[i].score > intervals[best].score) best = i;
@@ -402,76 +391,69 @@ PmtbrResult pmtbr_adaptive(const DescriptorSystem& sys, const AdaptiveOptions& a
   }
 
   enforce_coverage_floor(st, opts.resilience);
-  out.degradation = std::move(st.report);
+  stage.degradation = std::move(st.report);
+  return stage;
+}
 
-  const index order = choose_order(comp, opts);
+PmtbrResult pmtbr_finish(const DescriptorSystem& sys, const SamplingStage& stage,
+                         const PmtbrOptions& opts) {
+  PmtbrResult out;
+  out.samples_used = stage.samples_used;
+  out.degradation = stage.degradation;
+  const index order = choose_order(stage.compressor, opts);
   {
     PMTBR_TRACE_SCOPE("pmtbr.project");
-    MatD v = comp.basis(order);
+    MatD v = stage.compressor.basis(order);
     out.model.v = v;
     out.model.w = v;
     out.model.system = project_congruence(sys, v);
   }
-  out.model.singular_values = comp.singular_values();
+  out.model.singular_values = stage.compressor.singular_values();
+  out.hankel_estimates.reserve(out.model.singular_values.size());
   for (const double s : out.model.singular_values) out.hankel_estimates.push_back(s * s);
   return out;
+}
+
+PmtbrResult pmtbr_with_samples(const DescriptorSystem& sys,
+                               const std::vector<FrequencySample>& samples,
+                               const PmtbrOptions& opts) {
+  PMTBR_REQUIRE(!samples.empty(), "need at least one frequency sample");
+  PMTBR_TRACE_SCOPE("pmtbr");
+  return pmtbr_finish(sys, pmtbr_sample(sys, samples, opts), opts);
+}
+
+PmtbrResult pmtbr_adaptive(const DescriptorSystem& sys, const AdaptiveOptions& aopts,
+                           const PmtbrOptions& opts) {
+  PMTBR_TRACE_SCOPE("pmtbr_adaptive");
+  return pmtbr_finish(sys, pmtbr_sample_adaptive(sys, aopts, opts), opts);
 }
 
 std::vector<PmtbrResult> pmtbr_order_sweep(const DescriptorSystem& sys,
                                            const std::vector<FrequencySample>& samples,
                                            const std::vector<index>& orders,
                                            const PmtbrOptions& opts) {
-  PMTBR_REQUIRE(!samples.empty(), "need at least one frequency sample");
   PMTBR_REQUIRE(!orders.empty(), "need at least one order");
   PMTBR_TRACE_SCOPE("pmtbr_order_sweep");
-  IncrementalCompressor comp(sys.n(), 1e-13, opts.compressor);
-  const ResilienceOptions& resilience = opts.resilience;
-  DegradeState st;
-  opts.cancel.throw_if_cancelled();
-  prepare_resilient(sys, samples);
-  auto outcomes = util::parallel_try_map<SampleOutcome>(
-      static_cast<index>(samples.size()),
-      [&](index i) {
-        return try_sample_block(sys, samples[static_cast<std::size_t>(i)], resilience);
-      },
-      opts.cancel);
-  opts.cancel.throw_if_cancelled();
-  const std::vector<index> survivors = degrade_window(outcomes, samples, 0, st);
-  std::vector<FrequencySample> used;
-  used.reserve(survivors.size());
-  for (index k : survivors) {
-    comp.add_columns(outcomes[static_cast<std::size_t>(k)].value().block);
-    obs::counter_add(obs::Counter::kPmtbrSamples);
-    used.push_back(samples[static_cast<std::size_t>(k)]);
-  }
-  enforce_coverage_floor(st, resilience);
+  // One window over every sample: only the resilience / compressor /
+  // cancel fields of `opts` apply to the sweep.
+  PmtbrOptions sampling;
+  sampling.resilience = opts.resilience;
+  sampling.compressor = opts.compressor;
+  sampling.cancel = opts.cancel;
+  const SamplingStage stage = pmtbr_sample(sys, samples, sampling);
 
   std::vector<PmtbrResult> out;
   out.reserve(orders.size());
   for (const index order : orders) {
-    PmtbrResult res;
-    res.samples_used = used;
-    res.degradation = st.report;
-    const index q = std::max<index>(1, std::min<index>(order, comp.rank()));
-    PMTBR_TRACE_SCOPE("pmtbr.project");
-    MatD v = comp.basis(q);
-    res.model.v = v;
-    res.model.w = v;
-    res.model.system = project_congruence(sys, v);
-    res.model.singular_values = comp.singular_values();
-    for (const double s : res.model.singular_values) res.hankel_estimates.push_back(s * s);
-    out.push_back(std::move(res));
+    sampling.fixed_order = std::max<index>(order, 1);
+    out.push_back(pmtbr_finish(sys, stage, sampling));
   }
   return out;
 }
 
 PmtbrResult pmtbr(const DescriptorSystem& sys, const PmtbrOptions& opts) {
-  PMTBR_REQUIRE(sys.n() > 0, "pmtbr needs a nonempty system");
-  PMTBR_REQUIRE(!opts.bands.empty(), "pmtbr needs at least one frequency band");
-  PMTBR_REQUIRE(opts.num_samples >= 1, "pmtbr needs at least one sample");
-  PMTBR_REQUIRE(opts.truncation_tol >= 0, "truncation_tol must be nonnegative");
-  const auto samples = sample_bands(opts.bands, opts.num_samples, opts.scheme);
-  return pmtbr_with_samples(sys, samples, opts);
+  PMTBR_TRACE_SCOPE("pmtbr");
+  return pmtbr_finish(sys, pmtbr_sample(sys, opts), opts);
 }
 
 }  // namespace pmtbr::mor

@@ -141,11 +141,40 @@ struct AdaptiveOptions {
 PmtbrResult pmtbr_adaptive(const DescriptorSystem& sys, const AdaptiveOptions& aopts,
                            const PmtbrOptions& opts = {});
 
-/// Order sweep sharing one sampling + compression pass: returns one result
-/// per requested order (clamped to the available rank). Far cheaper than
-/// calling pmtbr_with_samples per order in benches and studies. Only the
-/// resilience / compressor / cancel fields of `opts` apply (order selection
-/// comes from `orders`).
+/// The two stages every PMTBR entry point runs. The paper picks the model
+/// order only after sampling, from the trailing singular values of the
+/// compressed sample matrix Z W (Sec. V-C), so runs that differ only in
+/// `fixed_order` / `max_order` share all work up to that choice: the
+/// sampling stage. The finish stage — order choice, basis, projection,
+/// singular values — only reads the stage, so concurrent finishes may
+/// share one instance (serve::ReductionService does, for re-capped jobs).
+struct SamplingStage {
+  IncrementalCompressor compressor;  // Z W, compressed
+  std::vector<FrequencySample> samples_used;
+  DegradeReport degradation;
+};
+
+/// Sampling stage of pmtbr_with_samples / pmtbr.
+SamplingStage pmtbr_sample(const DescriptorSystem& sys,
+                           const std::vector<FrequencySample>& samples,
+                           const PmtbrOptions& opts);
+SamplingStage pmtbr_sample(const DescriptorSystem& sys, const PmtbrOptions& opts);
+
+/// Sampling stage of pmtbr_adaptive.
+SamplingStage pmtbr_sample_adaptive(const DescriptorSystem& sys, const AdaptiveOptions& aopts,
+                                    const PmtbrOptions& opts);
+
+/// Finish stage: chooses the order from `opts` (fixed_order, else
+/// truncation_tol, then the max_order cap) and projects onto the dominant
+/// subspace of `stage`.
+PmtbrResult pmtbr_finish(const DescriptorSystem& sys, const SamplingStage& stage,
+                         const PmtbrOptions& opts);
+
+/// Order sweep sharing one sampling stage: returns one result per
+/// requested order (clamped to the available rank), each identical to
+/// pmtbr_with_samples with that fixed_order. Only the resilience /
+/// compressor / cancel fields of `opts` apply (order selection comes from
+/// `orders`).
 std::vector<PmtbrResult> pmtbr_order_sweep(const DescriptorSystem& sys,
                                            const std::vector<FrequencySample>& samples,
                                            const std::vector<index>& orders,

@@ -2,7 +2,6 @@
 
 #include <sstream>
 
-#include "util/obs/counters.hpp"
 #include "util/obs/json.hpp"
 
 namespace pmtbr::serve {
@@ -11,7 +10,9 @@ namespace {
 
 std::size_t dense_bytes(const la::MatD& m) { return m.size() * sizeof(double); }
 
-void mix_options(util::FingerprintHasher& h, const mor::PmtbrOptions& opts) {
+// `with_order` = false leaves out the order selectors the finish stage
+// alone reads, which gives the sampling stage's key.
+void mix_options(util::FingerprintHasher& h, const mor::PmtbrOptions& opts, bool with_order) {
   h.mix(opts.bands.size());
   for (const mor::Band& band : opts.bands) {
     h.mix_double(band.f_lo);
@@ -19,9 +20,9 @@ void mix_options(util::FingerprintHasher& h, const mor::PmtbrOptions& opts) {
   }
   h.mix_i64(static_cast<std::int64_t>(opts.num_samples));
   h.mix_i64(static_cast<std::int64_t>(opts.scheme));
-  h.mix_i64(static_cast<std::int64_t>(opts.fixed_order));
+  if (with_order) h.mix_i64(static_cast<std::int64_t>(opts.fixed_order));
   h.mix_double(opts.truncation_tol);
-  h.mix_i64(static_cast<std::int64_t>(opts.max_order));
+  if (with_order) h.mix_i64(static_cast<std::int64_t>(opts.max_order));
   h.mix_double(opts.adaptive_excess);
   h.mix_i64(static_cast<std::int64_t>(opts.min_samples));
   h.mix_i64(opts.resilience.max_retries);
@@ -31,9 +32,7 @@ void mix_options(util::FingerprintHasher& h, const mor::PmtbrOptions& opts) {
   h.mix_i64(static_cast<std::int64_t>(opts.compressor));
 }
 
-}  // namespace
-
-std::optional<util::Fingerprint> job_fingerprint(const JobRequest& req) {
+std::optional<util::Fingerprint> fingerprint(const JobRequest& req, bool with_order) {
   // A std::function weight has no content identity: two textually equal
   // lambdas are distinct values, so memoizing across them would be wrong.
   if (req.options.weight_fn) return std::nullopt;
@@ -42,7 +41,7 @@ std::optional<util::Fingerprint> job_fingerprint(const JobRequest& req) {
   h.mix(system.hi);
   h.mix(system.lo);
   h.mix_i64(static_cast<std::int64_t>(req.method));
-  mix_options(h, req.options);
+  mix_options(h, req.options, with_order);
   if (req.method == Method::kPmtbrAdaptive) {
     h.mix_double(req.adaptive.band.f_lo);
     h.mix_double(req.adaptive.band.f_hi);
@@ -53,7 +52,20 @@ std::optional<util::Fingerprint> job_fingerprint(const JobRequest& req) {
   return h.digest();
 }
 
-std::size_t result_bytes(const mor::PmtbrResult& result) {
+}  // namespace
+
+std::optional<util::Fingerprint> job_fingerprint(const JobRequest& req) {
+  return fingerprint(req, true);
+}
+
+std::optional<util::Fingerprint> sampling_fingerprint(const JobRequest& req) {
+  return fingerprint(req, false);
+}
+
+namespace {
+
+// Estimated resident size of one cached value.
+std::size_t cached_bytes(const mor::PmtbrResult& result) {
   const mor::DenseSystem& sys = result.model.system;
   std::size_t bytes = dense_bytes(sys.e()) + dense_bytes(sys.a()) + dense_bytes(sys.b()) +
                       dense_bytes(sys.c()) + dense_bytes(result.model.v) +
@@ -65,33 +77,60 @@ std::size_t result_bytes(const mor::PmtbrResult& result) {
   return bytes;
 }
 
-ModelCache::ModelCache(std::size_t byte_budget)
-    : lru_({0, byte_budget > 0 ? byte_budget
-                               : util::cache_byte_budget(kDefaultModelCacheBytes)}) {}
+std::size_t cached_bytes(const mor::SamplingStage& stage) {
+  // Basis (n x rank) plus the triangular R columns (at most rank x rank).
+  const auto n = static_cast<std::size_t>(stage.compressor.n());
+  const auto rank = static_cast<std::size_t>(stage.compressor.rank());
+  return (n + rank) * rank * sizeof(double) +
+         stage.samples_used.size() * sizeof(mor::FrequencySample) +
+         stage.degradation.failures.size() * sizeof(mor::SampleFailure);
+}
 
-ModelCache::ResultPtr ModelCache::lookup(const util::Fingerprint& key) {
+std::size_t resolve_budget(std::size_t byte_budget) {
+  return byte_budget > 0 ? byte_budget : util::cache_byte_budget(kDefaultModelCacheBytes);
+}
+
+}  // namespace
+
+template <typename T>
+typename CacheLayer<T>::Ptr CacheLayer<T>::lookup(const util::Fingerprint& key) {
   auto hit = lru_.get(key);
   if (hit.has_value()) {
-    obs::counter_add(obs::Counter::kModelCacheHit);
+    obs::counter_add(counters_.hit);
     return *hit;
   }
-  obs::counter_add(obs::Counter::kModelCacheMiss);
+  obs::counter_add(counters_.miss);
   return nullptr;
 }
 
-void ModelCache::insert(const util::Fingerprint& key, ResultPtr result) {
-  const std::size_t bytes = result_bytes(*result);
-  const util::EvictionReport ev = lru_.put(key, std::move(result), bytes);
+template <typename T>
+void CacheLayer<T>::insert(const util::Fingerprint& key, Ptr value) {
+  const std::size_t bytes = cached_bytes(*value);
+  const util::EvictionReport ev = lru_.put(key, std::move(value), bytes);
   if (!ev.inserted) return;
-  obs::counter_add(obs::Counter::kModelCacheBytes,
+  obs::counter_add(counters_.bytes,
                    static_cast<std::int64_t>(bytes) - ev.bytes - ev.replaced_bytes);
-  if (ev.count > 0) obs::counter_add(obs::Counter::kModelCacheEvict, ev.count);
+  if (ev.count > 0) obs::counter_add(counters_.evict, ev.count);
 }
 
-void ModelCache::note_coalesced(std::int64_t n) {
-  lru_.add_coalesced(n);
-  obs::counter_add(obs::Counter::kModelCacheCoalesced, n);
+template <typename T>
+void CacheLayer<T>::note_coalesced() {
+  lru_.add_coalesced();
+  obs::counter_add(counters_.coalesced);
 }
+
+template class CacheLayer<mor::PmtbrResult>;
+template class CacheLayer<mor::SamplingStage>;
+
+ModelCache::ModelCache(std::size_t byte_budget)
+    : results(resolve_budget(byte_budget),
+              {obs::Counter::kModelCacheHit, obs::Counter::kModelCacheMiss,
+               obs::Counter::kModelCacheEvict, obs::Counter::kModelCacheCoalesced,
+               obs::Counter::kModelCacheBytes}),
+      stages(resolve_budget(byte_budget),
+             {obs::Counter::kSamplingCacheHit, obs::Counter::kSamplingCacheMiss,
+              obs::Counter::kSamplingCacheEvict, obs::Counter::kSamplingCacheCoalesced,
+              obs::Counter::kSamplingCacheBytes}) {}
 
 namespace {
 
@@ -115,14 +154,14 @@ void write_layer(obs::JsonWriter& w, const util::CacheStats& st) {
 }  // namespace
 
 std::pair<std::string, std::string> cache_extra(const util::CacheStats& model,
-                                                const util::CacheStats& factor) {
+                                                const util::CacheStats& sampling) {
   std::ostringstream os;
   obs::JsonWriter w(os);
   w.begin_object();
   w.key("model");
   write_layer(w, model);
-  w.key("factor");
-  write_layer(w, factor);
+  w.key("sampling");
+  write_layer(w, sampling);
   w.end_object();
   return {"cache", os.str()};
 }

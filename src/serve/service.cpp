@@ -36,6 +36,10 @@ obs::Counter outcome_counter(JobOutcome o) {
   return obs::Counter::kServeJobsFailed;
 }
 
+// How often a job joined to an in-flight computation re-checks its own
+// cancel token and deadline.
+constexpr std::chrono::milliseconds kFlightPoll{1};
+
 }  // namespace
 
 std::pair<std::string, std::string> serve_extra(const ServiceStats& stats) {
@@ -70,7 +74,7 @@ ReductionService::ReductionService(ServiceOptions opts) : opts_(opts) {
   if (opts_.model_cache) {
     auto cache = std::make_unique<ModelCache>(opts_.model_cache_bytes);
     // A byte budget resolving to 0 (PMTBR_CACHE_BYTES=0) disables caching.
-    if (cache->enabled()) cache_ = std::move(cache);
+    if (cache->results.enabled()) cache_ = std::move(cache);
   }
   runners_.reserve(static_cast<std::size_t>(opts_.runners));
   for (int t = 0; t < opts_.runners; ++t)
@@ -113,6 +117,7 @@ util::Expected<JobId> ReductionService::submit(JobRequest req) {
     if (const auto key = job_fingerprint(job->req)) {
       job->cacheable = true;
       job->cache_key = *key;
+      job->stage_key = *sampling_fingerprint(job->req);
     }
   }
 
@@ -187,7 +192,11 @@ ServiceStats ReductionService::stats() const {
 }
 
 util::CacheStats ReductionService::model_cache_stats() const {
-  return cache_ != nullptr ? cache_->stats() : util::CacheStats{};
+  return cache_ != nullptr ? cache_->results.stats() : util::CacheStats{};
+}
+
+util::CacheStats ReductionService::sampling_cache_stats() const {
+  return cache_ != nullptr ? cache_->stages.stats() : util::CacheStats{};
 }
 
 std::shared_ptr<ReductionService::Job> ReductionService::pop_best_locked() {
@@ -310,66 +319,32 @@ void ReductionService::runner_loop() {
 }
 
 bool ReductionService::execute_job(Job& job) {
-  const auto reduce = [&job] {
-    mor::PmtbrOptions options = job.req.options;
-    options.cancel = job.token;
-    job.result.reduction =
-        job.req.method == Method::kPmtbrAdaptive
-            ? mor::pmtbr_adaptive(job.req.system, job.req.adaptive, options)
-            : mor::pmtbr(job.req.system, options);
+  mor::PmtbrOptions options = job.req.options;
+  options.cancel = job.token;
+  const auto sample = [&job, &options] {
+    return job.req.method == Method::kPmtbrAdaptive
+               ? mor::pmtbr_sample_adaptive(job.req.system, job.req.adaptive, options)
+               : mor::pmtbr_sample(job.req.system, options);
   };
   // Fault injection bypasses the cache wholesale: robustness tests assert
   // exact degradation sets, and a memoized result would short-circuit the
   // injected failures they expect.
   if (cache_ == nullptr || !job.cacheable || util::fault::enabled()) {
-    reduce();
+    job.result.reduction = mor::pmtbr_finish(job.req.system, sample(), options);
     return false;
   }
-  for (;;) {
-    if (ModelCache::ResultPtr hit = cache_->lookup(job.cache_key)) {
-      // A hit still honors this job's own cancel/deadline so the outcome
-      // partition is indistinguishable from a fresh run's.
-      job.token.throw_if_cancelled();
-      job.result.reduction = *hit;
-      return true;
-    }
-    bool leader = false;
-    auto flight = cache_->flights().begin(job.cache_key, leader);
-    if (leader) {
-      // Close the lookup->begin race: a previous leader may have published
-      // and retired its flight between our miss and our begin().
-      if (ModelCache::ResultPtr hit = cache_->lookup(job.cache_key)) {
-        cache_->flights().publish(job.cache_key, flight, hit);
-        job.token.throw_if_cancelled();
-        job.result.reduction = *hit;
-        return true;
-      }
-      try {
-        reduce();
-      } catch (...) {
-        // Abandon the flight: followers wake, retry, and elect a new
-        // leader, so one cancelled job never poisons its coalesced peers.
-        cache_->flights().publish(job.cache_key, flight, nullptr);
-        throw;
-      }
-      auto published = std::make_shared<const mor::PmtbrResult>(job.result.reduction);
-      cache_->insert(job.cache_key, published);
-      cache_->flights().publish(job.cache_key, flight, published);
-      return false;
-    }
-    // Follower: join the in-flight computation, polling our own token so
-    // this job's cancel/deadline still win over a slow leader.
-    const auto value = ModelCache::FlightGate::wait(
-        *flight, std::chrono::milliseconds(1), [&job] { return job.token.cancelled(); });
-    if (!value.has_value()) {
-      job.token.throw_if_cancelled();
-    } else if (*value != nullptr) {
-      cache_->note_coalesced();
-      job.result.reduction = **value;
-      return true;
-    }
-    // Abandoned flight: loop and retry (we may be promoted to leader).
-  }
+  // An exact repeat is served by the result layer. Anything else runs the
+  // finish stage, on a sampling stage that a job differing only in its
+  // order cap may already have left in (or be computing for) the sampling
+  // layer.
+  const auto [result, served] =
+      cache_->results.get_or_compute(job.cache_key, job.token, kFlightPoll, [&] {
+        const auto stage =
+            cache_->stages.get_or_compute(job.stage_key, job.token, kFlightPoll, sample).first;
+        return mor::pmtbr_finish(job.req.system, *stage, options);
+      });
+  job.result.reduction = *result;
+  return served;
 }
 
 }  // namespace pmtbr::serve

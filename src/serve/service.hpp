@@ -39,7 +39,7 @@
 
 namespace pmtbr::serve {
 
-class ModelCache;
+struct ModelCache;
 
 using JobId = std::uint64_t;
 
@@ -51,13 +51,14 @@ struct ServiceOptions {
   /// Bounded admission queue: submissions beyond this many queued (not yet
   /// started) jobs are rejected with kOverloaded.
   index max_queue = 64;
-  /// Memoize completed reductions by job fingerprint and coalesce
-  /// concurrent identical jobs (docs/SERVING.md). Suspended automatically
-  /// while fault injection is armed, so injected failures stay exactly
-  /// reproducible.
+  /// Memoize completed reductions by job fingerprint, share sampling
+  /// stages between jobs that differ only in fixed_order / max_order, and
+  /// coalesce concurrent jobs that need the same value (docs/SERVING.md).
+  /// Suspended automatically while fault injection is armed, so injected
+  /// failures stay exactly reproducible.
   bool model_cache = true;
-  /// Model-cache byte budget; 0 = PMTBR_CACHE_BYTES or 256 MiB. A budget
-  /// resolving to 0 disables the cache for this service.
+  /// Byte budget of each cache layer; 0 = PMTBR_CACHE_BYTES or 256 MiB. A
+  /// budget resolving to 0 disables the cache for this service.
   std::size_t model_cache_bytes = 0;
 };
 
@@ -113,9 +114,11 @@ class ReductionService {
 
   ServiceStats stats() const PMTBR_EXCLUDES(mutex_);
 
-  /// Hit/miss/eviction totals of this service's model cache (zeros when
-  /// the cache is disabled) — feeds cache_extra() and the bench artifact.
+  /// Hit/miss/eviction totals of this service's result and sampling cache
+  /// layers (zeros when the cache is disabled) — feed cache_extra() and
+  /// the bench artifact.
   util::CacheStats model_cache_stats() const;
+  util::CacheStats sampling_cache_stats() const;
 
  private:
   enum class JobState { kQueued, kRunning, kDone };
@@ -133,10 +136,12 @@ class ReductionService {
     bool has_deadline = false;
     JobState state = JobState::kQueued;
     JobResult result;
-    // Model-cache key, computed once at submission (immutable afterwards;
-    // cacheable is false for weight_fn jobs or a cache-less service).
+    // Result- and sampling-layer keys, computed once at submission
+    // (immutable afterwards; cacheable is false for weight_fn jobs or a
+    // cache-less service).
     bool cacheable = false;
     util::Fingerprint cache_key;
+    util::Fingerprint stage_key;
   };
 
   /// Removes and returns the best queued job: highest priority, then
@@ -151,10 +156,11 @@ class ReductionService {
 
   void runner_loop() PMTBR_EXCLUDES(mutex_);
 
-  /// Runs the job's reduction through the model cache: LRU hit, coalesced
-  /// join of an identical in-flight job, or a fresh (leader) computation.
-  /// Returns true when the result came from the cache. Throws
-  /// util::StatusError exactly like a direct reduction would.
+  /// Runs the job's reduction through the model cache: a result-layer hit
+  /// or coalesced join of an identical in-flight job, else the finish
+  /// stage on a (possibly shared) sampling stage. Returns true when the
+  /// result came from the result layer. Throws util::StatusError exactly
+  /// like a direct reduction would.
   bool execute_job(Job& job) PMTBR_EXCLUDES(mutex_);
 
   ServiceOptions opts_;

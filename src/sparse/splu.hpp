@@ -17,7 +17,6 @@
 
 #include "la/matrix.hpp"
 #include "sparse/csr.hpp"
-#include "util/fingerprint.hpp"
 #include "util/status.hpp"
 
 namespace pmtbr::sparse {
@@ -76,20 +75,6 @@ class SymbolicLu {
   std::size_t nnz_factors() const {
     return pattern_->l_row.size() + pattern_->u_row.size() +
            static_cast<std::size_t>(pattern_->n);
-  }
-
-  /// Content hash of the frozen elimination structure: pre-permutation and
-  /// pivot order. Together with the source matrix's own content these
-  /// determine the entire fill pattern, so replays from two analyses with
-  /// equal fingerprints (over the same matrix) produce bit-identical
-  /// factors — the property the cross-job factor cache keys on
-  /// (sparse/factor_cache.hpp).
-  util::Fingerprint fingerprint() const {
-    util::FingerprintHasher h;
-    h.mix_i64(static_cast<std::int64_t>(pattern_->n));
-    h.mix_ints(pattern_->q);
-    h.mix_ints(pattern_->pinv);
-    return h.digest();
   }
 
  private:

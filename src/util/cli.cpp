@@ -2,22 +2,22 @@
 
 #include <cstdint>
 #include <stdexcept>
+#include <string_view>
 
 namespace pmtbr {
 
 ArgParser::ArgParser(int argc, const char* const* argv) {
   if (argc > 0) program_ = argv[0];
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--", 0) == 0) {
+    const std::string_view arg = argv[i];
+    if (arg.starts_with("--")) {
+      // A bare `--flag` reads as `--flag=1`.
       const auto eq = arg.find('=');
-      if (eq == std::string::npos) {
-        options_[arg.substr(2)] = "1";
-      } else {
-        options_[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
-      }
+      const std::string_view key = arg.substr(2, eq == std::string_view::npos ? eq : eq - 2);
+      const std::string_view value = eq == std::string_view::npos ? "1" : arg.substr(eq + 1);
+      options_.insert_or_assign(std::string(key), std::string(value));
     } else {
-      positional_.push_back(arg);
+      positional_.emplace_back(arg);
     }
   }
 }

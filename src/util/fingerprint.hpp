@@ -2,9 +2,9 @@
 // (docs/SERVING.md).
 //
 // A Fingerprint is a stable hash of "everything that determines the
-// result": the caching layers key reduced models by (system content,
-// canonicalized options) and numeric LU factors by (system content,
-// frozen pivot order, shift). Two requirements drive the design:
+// result": the service's cache keys reduced models by (system content,
+// canonicalized options) and sampling stages by the same digest without
+// the order selectors. Two requirements drive the design:
 //
 //  - determinism across processes and thread schedules: the digest is a
 //    pure function of the mixed values and their order, built on the
@@ -105,8 +105,7 @@ class FingerprintHasher {
   std::uint64_t count_ = 0;
 };
 
-/// Digest of two fingerprints plus a tag — the factor-cache key combiner
-/// (system content, symbolic structure, shift folded in by the caller).
+/// Order-sensitive digest of two fingerprints.
 inline Fingerprint fingerprint_combine(const Fingerprint& a, const Fingerprint& b) noexcept {
   FingerprintHasher h;
   h.mix(a.hi);

@@ -57,10 +57,11 @@ const char* counter_name(Counter c) noexcept {
     case Counter::kModelCacheEvict: return "model_cache_evict";
     case Counter::kModelCacheCoalesced: return "model_cache_coalesced";
     case Counter::kModelCacheBytes: return "model_cache_bytes";
-    case Counter::kFactorCacheHit: return "factor_cache_hit";
-    case Counter::kFactorCacheMiss: return "factor_cache_miss";
-    case Counter::kFactorCacheEvict: return "factor_cache_evict";
-    case Counter::kFactorCacheBytes: return "factor_cache_bytes";
+    case Counter::kSamplingCacheHit: return "sampling_cache_hit";
+    case Counter::kSamplingCacheMiss: return "sampling_cache_miss";
+    case Counter::kSamplingCacheEvict: return "sampling_cache_evict";
+    case Counter::kSamplingCacheCoalesced: return "sampling_cache_coalesced";
+    case Counter::kSamplingCacheBytes: return "sampling_cache_bytes";
     case Counter::kCount: break;
   }
   return "unknown";

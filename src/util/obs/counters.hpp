@@ -76,18 +76,19 @@ enum class Counter : int {
   kServeJobsExpired,        // jobs past their deadline (queued or mid-run)
   kServeQueueNanos,         // total admission-to-start (or -terminal) wait
   kServeRunNanos,           // total execution wall time across jobs
-  // cross-job caching layer (serve/model_cache, sparse/factor_cache —
-  // see docs/SERVING.md). The *_bytes entries are resident-size gauges
-  // (incremented on insert, decremented on evict), not monotonic totals.
+  // the service's cache layers (serve/model_cache — see docs/SERVING.md).
+  // The *_bytes entries are resident-size gauges (incremented on insert,
+  // decremented on evict), not monotonic totals.
   kModelCacheHit,           // completed reductions served from the model LRU
   kModelCacheMiss,          // model-cache lookups that found nothing
   kModelCacheEvict,         // reduced models evicted under the byte budget
   kModelCacheCoalesced,     // jobs served by joining an in-flight identical job
   kModelCacheBytes,         // resident reduced-model payload bytes (gauge)
-  kFactorCacheHit,          // shifted solves served from the shared factor LRU
-  kFactorCacheMiss,         // factor-cache lookups that found nothing
-  kFactorCacheEvict,        // numeric factors evicted under the byte budget
-  kFactorCacheBytes,        // resident factor payload bytes (gauge)
+  kSamplingCacheHit,        // sampling stages reused by an order-only variant
+  kSamplingCacheMiss,       // sampling-cache lookups that found nothing
+  kSamplingCacheEvict,      // sampling stages evicted under the byte budget
+  kSamplingCacheCoalesced,  // jobs that joined an in-flight sampling stage
+  kSamplingCacheBytes,      // resident sampling-stage payload bytes (gauge)
 
   kCount  // sentinel; keep last
 };

@@ -1,11 +1,15 @@
-// Cross-job caching layer tests (docs/SERVING.md): job fingerprint
-// stability, single-flight coalescing of concurrent identical jobs,
-// bit-identical cache hits, the shared numeric-factor cache, and the
-// move-only admission path. The suite names carry the ReductionService
-// prefix so the TSan CI preset picks the concurrency tests up.
+// Service caching tests (docs/SERVING.md): job fingerprint stability,
+// single-flight coalescing of concurrent identical jobs, bit-identical
+// cache hits, sampling stages shared by re-capped jobs, the absence of any
+// process-wide cache, and the move-only admission path. The suite names
+// carry the ReductionService prefix so the TSan CI preset picks the
+// concurrency tests up.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "circuit/generators.hpp"
@@ -13,7 +17,6 @@
 #include "mor/pmtbr.hpp"
 #include "serve/model_cache.hpp"
 #include "serve/service.hpp"
-#include "sparse/factor_cache.hpp"
 #include "util/faultinject.hpp"
 #include "util/obs/counters.hpp"
 
@@ -27,7 +30,6 @@ class CacheTestEnv : public ::testing::Test {
  protected:
   void SetUp() override {
     util::fault::clear();
-    sparse::FactorCache::global().clear();
     obs::reset_counters();
   }
 };
@@ -42,6 +44,30 @@ JobRequest mesh_job(const std::string& name, int samples = 12) {
   req.system = circuit::make_rc_mesh({.rows = 8, .cols = 8, .num_ports = 2});
   req.options.num_samples = samples;
   return req;
+}
+
+// The same request with a tighter order cap: it shares the original's
+// sampling stage but not its result.
+JobRequest recapped(const std::string& name, index max_order = 3) {
+  JobRequest req = mesh_job(name);
+  req.options.max_order = max_order;
+  return req;
+}
+
+void expect_bit_identical(const mor::PmtbrResult& got, const mor::PmtbrResult& want) {
+  const auto same = [](const la::MatD& a, const la::MatD& b) {
+    ASSERT_EQ(a.rows(), b.rows());
+    ASSERT_EQ(a.cols(), b.cols());
+    for (la::index i = 0; i < a.rows(); ++i)
+      for (la::index j = 0; j < a.cols(); ++j) EXPECT_EQ(a(i, j), b(i, j));
+  };
+  same(got.model.system.e(), want.model.system.e());
+  same(got.model.system.a(), want.model.system.a());
+  same(got.model.system.b(), want.model.system.b());
+  same(got.model.system.c(), want.model.system.c());
+  same(got.model.v, want.model.v);
+  EXPECT_EQ(got.model.singular_values, want.model.singular_values);
+  EXPECT_EQ(got.samples_used.size(), want.samples_used.size());
 }
 
 const std::string kNetlist =
@@ -184,33 +210,126 @@ TEST_F(ReductionServiceCache, DisabledCacheRunsEveryJob) {
   EXPECT_EQ(cs.entries, 0);
 }
 
-TEST_F(ReductionServiceCache, FactorCacheSharesNumericFactorsAcrossSystems) {
-  // Two independently built but bit-identical systems share content and
-  // symbolic fingerprints, so the second one's solves replay the first
-  // one's numeric factors instead of refactoring.
+TEST_F(ReductionServiceCache, RecapFinishesFromTheOriginalsSamplingStage) {
+  JobRequest direct_req = recapped("direct");
+  const mor::PmtbrResult direct = mor::pmtbr(direct_req.system, direct_req.options);
+
+  ReductionService svc({.runners = 1, .max_queue = 4});
+  auto original = svc.submit(mesh_job("original"));
+  ASSERT_TRUE(original.is_ok());
+  const JobResult first = svc.wait(original.value());
+  ASSERT_EQ(first.outcome, JobOutcome::kCompleted) << first.status.to_string();
+  ASSERT_GT(first.reduction.model.system.n(), 3) << "the cap must bind";
+
+  const std::int64_t refactors = obs::counter_value(obs::Counter::kSparseLuRefactor);
+  const std::int64_t solves = obs::counter_value(obs::Counter::kShiftedSolve);
+  const std::int64_t model_hits = obs::counter_value(obs::Counter::kModelCacheHit);
+  auto recap = svc.submit(recapped("recap"));
+  ASSERT_TRUE(recap.is_ok());
+  const JobResult second = svc.wait(recap.value());
+  ASSERT_EQ(second.outcome, JobOutcome::kCompleted) << second.status.to_string();
+
+  // No sampling ran, the result layer served nothing, and the job is a
+  // fresh reduction as far as the service's stats are concerned.
+  EXPECT_EQ(obs::counter_value(obs::Counter::kSparseLuRefactor), refactors);
+  EXPECT_EQ(obs::counter_value(obs::Counter::kShiftedSolve), solves);
+  EXPECT_EQ(obs::counter_value(obs::Counter::kModelCacheHit), model_hits);
+  EXPECT_EQ(svc.sampling_cache_stats().hits, 1);
+  EXPECT_EQ(svc.stats().cache_hits, 0);
+
+  EXPECT_EQ(second.reduction.model.system.n(), 3);
+  expect_bit_identical(second.reduction, direct);
+}
+
+TEST_F(ReductionServiceCache, OriginalAndRecapSubmittedTogetherSampleOnce) {
+  ReductionService svc({.runners = 2, .max_queue = 4});
+  auto original = svc.submit(mesh_job("original"));
+  auto recap = svc.submit(recapped("recap"));
+  ASSERT_TRUE(original.is_ok());
+  ASSERT_TRUE(recap.is_ok());
+  const JobResult a = svc.wait(original.value());
+  const JobResult b = svc.wait(recap.value());
+  ASSERT_EQ(a.outcome, JobOutcome::kCompleted) << a.status.to_string();
+  ASSERT_EQ(b.outcome, JobOutcome::kCompleted) << b.status.to_string();
+
+  // One job's worth of absorbed samples: whichever job reached the stage
+  // second joined the first one's flight or hit its memoized stage.
+  EXPECT_EQ(obs::counter_value(obs::Counter::kPmtbrSamples), 12);
+  const util::CacheStats st = svc.sampling_cache_stats();
+  EXPECT_EQ(st.hits + st.coalesced, 1);
+  EXPECT_EQ(svc.model_cache_stats().hits + svc.model_cache_stats().coalesced, 0);
+  EXPECT_EQ(a.reduction.model.singular_values, b.reduction.model.singular_values);
+  EXPECT_LT(b.reduction.model.system.n(), a.reduction.model.system.n());
+}
+
+TEST_F(ReductionServiceCache, CancelledStageLeaderPassesTheFlightToItsWaiter) {
+  const JobRequest req = mesh_job("stage");
+  const auto key = *sampling_fingerprint(req);
+  ModelCache cache(std::size_t{1} << 20);
+  CacheLayer<mor::SamplingStage>& layer = cache.stages;
+  const auto poll = std::chrono::milliseconds(1);
+
+  // The leader's "sampling" blocks until its token fires, then stops at a
+  // checkpoint exactly like the real sampling loop.
+  util::CancelToken leader_token = util::CancelToken::make();
+  std::atomic<bool> leading{false};
+  bool leader_cancelled = false;
+  std::thread leader([&] {
+    try {
+      (void)layer.get_or_compute(key, leader_token, poll, [&]() -> mor::SamplingStage {
+        leading = true;
+        while (!leader_token.cancelled()) std::this_thread::yield();
+        leader_token.throw_if_cancelled();
+        return mor::pmtbr_sample(req.system, req.options);
+      });
+    } catch (const util::StatusError& e) {
+      leader_cancelled = e.status().code() == util::ErrorCode::kCancelled;
+    }
+  });
+  while (!leading) std::this_thread::yield();
+
+  bool waiter_computed = false;
+  std::pair<CacheLayer<mor::SamplingStage>::Ptr, bool> got;
+  std::thread waiter([&] {
+    got = layer.get_or_compute(key, util::CancelToken::make(), poll, [&] {
+      waiter_computed = true;
+      return mor::pmtbr_sample(req.system, req.options);
+    });
+  });
+  // Joining the flight ourselves shows when the waiter holds it too: the
+  // gate's entry, the leader, this probe and the waiter.
+  bool joined = true;
+  const auto flight = layer.flights().begin(key, joined);
+  ASSERT_FALSE(joined);
+  while (flight.use_count() < 4) std::this_thread::yield();
+
+  leader_token.request_cancel();
+  leader.join();
+  waiter.join();
+  EXPECT_TRUE(leader_cancelled);
+  EXPECT_TRUE(waiter_computed);
+  ASSERT_NE(got.first, nullptr);
+  EXPECT_FALSE(got.second);
+  EXPECT_EQ(got.first->samples_used.size(), 12u);
+  EXPECT_EQ(layer.stats().coalesced, 0);
+  EXPECT_EQ(layer.stats().entries, 1);
+}
+
+TEST_F(ReductionServiceCache, ContentIdenticalSystemsShareNoFactors) {
+  // Two independently assembled, bit-identical systems: nothing is cached
+  // process-wide, so the second reduction refactors exactly as often as
+  // the first.
   const auto sys1 = circuit::make_rc_mesh({.rows = 6, .cols = 6});
   const auto sys2 = circuit::make_rc_mesh({.rows = 6, .cols = 6});
-  EXPECT_EQ(sys1.content_fingerprint(), sys2.content_fingerprint());
+  ASSERT_EQ(sys1.content_fingerprint(), sys2.content_fingerprint());
 
-  const la::MatC rhs = la::to_complex(sys1.b());
-  const la::cd shift(0.0, 2e9);
-  const la::MatC x1 = sys1.solve_shifted(shift, rhs);
-  const std::int64_t refactors_after_first =
-      obs::counter_value(obs::Counter::kSparseLuRefactor);
-  const la::MatC x2 = sys2.solve_shifted(shift, rhs);
-  // sys2 still builds its own symbolic analysis (a one-time full
-  // factorization), but the numeric factors replay from the shared cache:
-  // no new refactorization happens at the shift.
-  EXPECT_EQ(obs::counter_value(obs::Counter::kSparseLuRefactor), refactors_after_first);
-  EXPECT_GE(obs::counter_value(obs::Counter::kFactorCacheHit), 1);
-
-  ASSERT_EQ(x1.rows(), x2.rows());
-  for (la::index i = 0; i < x1.rows(); ++i)
-    for (la::index j = 0; j < x1.cols(); ++j) EXPECT_EQ(x1(i, j), x2(i, j));
-
-  const util::CacheStats st = sparse::FactorCache::global().stats();
-  EXPECT_GE(st.entries, 1);
-  EXPECT_GT(st.bytes, 0);
+  const mor::PmtbrResult r1 = mor::pmtbr(sys1);
+  const std::int64_t first = obs::counter_value(obs::Counter::kSparseLuRefactor);
+  const mor::PmtbrResult r2 = mor::pmtbr(sys2);
+  const std::int64_t second = obs::counter_value(obs::Counter::kSparseLuRefactor) - first;
+  EXPECT_GT(first, 0);
+  EXPECT_EQ(second, first);
+  expect_bit_identical(r2, r1);
 }
 
 TEST_F(ReductionServiceAdmission, SubmitMovesRequestWithoutCopyingMatrices) {

@@ -18,7 +18,6 @@
 
 #include "circuit/generators.hpp"
 #include "la/ops.hpp"
-#include "sparse/factor_cache.hpp"
 #include "util/obs/counters.hpp"
 #include "util/obs/json.hpp"
 #include "util/obs/manifest.hpp"
@@ -223,10 +222,6 @@ TEST_F(ObsSymbolicCache, HitsEqualShiftCountMinusOne) {
   const auto sys = circuit::make_rc_mesh(mp);
   const la::MatC rhs = la::to_complex(sys.b());
 
-  // An identically parameterized mesh from an earlier test shares this
-  // system's content fingerprint; drop any warm numeric factors so the
-  // factor counts below see a cold cache.
-  sparse::FactorCache::global().clear();
   reset_counters();
   constexpr int kShifts = 6;
   for (int k = 0; k < kShifts; ++k)

@@ -106,15 +106,16 @@ def validate_serve_extra(serve) -> list[str]:
 
 
 # "cache" manifest extra (serve::cache_extra, docs/SERVING.md): one stats
-# object per cache layer (model-result LRU, shared numeric-factor LRU).
-CACHE_LAYERS = ("model", "factor")
+# object per layer of the service's cache (result LRU, sampling-stage LRU).
+CACHE_LAYERS = ("model", "sampling")
 CACHE_COUNTS = ("hits", "misses", "evictions", "coalesced", "entries", "bytes")
 
 
 def validate_cache_extra(cache) -> list[str]:
     if not isinstance(cache, dict):
         return ["extra 'cache' must be an object"]
-    errors = []
+    errors = [f"cache.{layer} is not a layer of the service cache"
+              for layer in cache if layer not in CACHE_LAYERS]
     for layer in CACHE_LAYERS:
         obj = cache.get(layer)
         if not isinstance(obj, dict):
