@@ -46,6 +46,7 @@ struct TimingRecord {
   long samples = 0;
   int threads = 1;
   double gflops = 0.0;  // achieved GFLOP/s, 0 when the record has no flop count
+  long sweeps = 0;      // Jacobi sweeps of an SVD record; written only when > 0
 };
 
 /// Writes bench_out/BENCH_<name>.json with the given records, so CI and
@@ -81,6 +82,10 @@ inline std::string write_timing_json(const std::string& name,
     w.value(static_cast<std::int64_t>(r.threads));
     w.key("gflops");
     w.value(r.gflops);
+    if (r.sweeps > 0) {
+      w.key("sweeps");
+      w.value(static_cast<std::int64_t>(r.sweeps));
+    }
     w.end_object();
   }
   w.end_array();

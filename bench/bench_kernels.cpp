@@ -1,7 +1,8 @@
 // Kernel-level perf records for the blocked dense layer: GEMM (blocked vs.
 // the seed scalar triple loop), blocked compact-WY QR vs. the unblocked
-// reference, TSQR vs. flat QR, and the compressor's blocked block path vs.
-// its per-column reference mode.
+// reference, TSQR vs. flat QR, the compressor's blocked block path vs.
+// its per-column reference mode, and the QR-preconditioned Jacobi SVD on a
+// graded input shaped like the compressor's R factor (with its sweep count).
 //
 // All dense-kernel records are single-threaded so the numbers isolate the
 // kernel (register tiling, packing, ISA dispatch) from thread scaling,
@@ -18,8 +19,10 @@
 #include "la/matrix.hpp"
 #include "la/ops.hpp"
 #include "la/qr.hpp"
+#include "la/svd.hpp"
 #include "la/tsqr.hpp"
 #include "mor/compressor.hpp"
+#include "util/obs/counters.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
@@ -125,6 +128,32 @@ void tsqr_records(std::vector<bench::TimingRecord>& records) {
               std::to_string(t_flat) + " s (" + std::to_string(t_flat / t_tsqr) + "x)");
 }
 
+void svd_records(std::vector<bench::TimingRecord>& records) {
+  // 175×400 with singular values graded over 12 decades, like the rank×m R
+  // factor of a 30×30 mesh PMTBR run, factored the way the compressor does
+  // (singular values and left vectors). GF/s counts the kernel's own
+  // svd_flops + qr_flops estimate; sweeps are deterministic for the input.
+  const index m = 175, n = 400;
+  Rng rng(19);
+  MatD us = la::qr(random_mat(rng, m, m)).q;
+  for (index j = 0; j < m; ++j) {
+    const double s = std::pow(10.0, -12.0 * static_cast<double>(j) / static_cast<double>(m - 1));
+    for (index i = 0; i < m; ++i) us(i, j) *= s;
+  }
+  const MatD a = la::matmul(us, la::transpose(la::qr(random_mat(rng, n, m)).q));
+  const auto sweeps0 = obs::counter_value(obs::Counter::kSvdSweeps);
+  const auto flops0 =
+      obs::counter_value(obs::Counter::kSvdFlops) + obs::counter_value(obs::Counter::kQrFlops);
+  la::svd_left(a);
+  const long sweeps = static_cast<long>(obs::counter_value(obs::Counter::kSvdSweeps) - sweeps0);
+  const auto flops = static_cast<double>(obs::counter_value(obs::Counter::kSvdFlops) +
+                                         obs::counter_value(obs::Counter::kQrFlops) - flops0);
+  const double t = best_seconds(3, [&] { la::svd_left(a); });
+  records.push_back({"svd_left_graded_175x400", t, m, n, 1, flops / t / 1e9, sweeps});
+  bench::note("svd_left 175x400 graded: " + std::to_string(t) + " s, " +
+              std::to_string(flops / t / 1e9) + " GF/s, " + std::to_string(sweeps) + " sweeps");
+}
+
 void compressor_records(std::vector<bench::TimingRecord>& records) {
   // Stream shaped like a PMTBR sampling sweep: a few novel blocks saturate
   // the reachable subspace, then a long tail of samples that are linear
@@ -176,13 +205,14 @@ void compressor_records(std::vector<bench::TimingRecord>& records) {
 int main() {
   pmtbr::bench::banner("kernels",
                        "dense-kernel GFLOP/s: blocked GEMM/QR/TSQR and compressor block path "
-                       "vs. their scalar references (single thread)");
+                       "vs. their scalar references, preconditioned Jacobi SVD (single thread)");
   pmtbr::util::set_global_threads(1);
 
   std::vector<pmtbr::bench::TimingRecord> records;
   gemm_records(records);
   qr_records(records);
   tsqr_records(records);
+  svd_records(records);
   compressor_records(records);
 
   const std::string json = pmtbr::bench::write_timing_json("kernels", records);

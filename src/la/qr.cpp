@@ -72,14 +72,14 @@ void apply_reflector(Matrix<T>& a, index j0, index col0, const std::vector<T>& v
 }
 
 template <typename T>
-QrResult<T> qr_impl(Matrix<T> a, bool pivot, double rel_tol) {
+QrResult<T> qr_impl(Matrix<T> a, bool pivot, double rel_tol, bool want_q = true) {
   PMTBR_TRACE_SCOPE("la.qr");
   const index m = a.rows(), n = a.cols();
   const index k = std::min(m, n);
   obs::counter_add(obs::Counter::kQrFactorizations);
   // Householder QR: ~2mnk flops for R plus the same again for thin Q.
   obs::counter_add(obs::Counter::kQrFlops,
-                   static_cast<std::int64_t>(4.0 * static_cast<double>(m) *
+                   static_cast<std::int64_t>((want_q ? 4.0 : 2.0) * static_cast<double>(m) *
                                              static_cast<double>(n) * static_cast<double>(k)));
   QrResult<T> out;
   out.perm.resize(static_cast<std::size_t>(n));
@@ -151,14 +151,16 @@ QrResult<T> qr_impl(Matrix<T> a, bool pivot, double rel_tol) {
     for (index j = i; j < n; ++j) out.r(i, j) = a(i, j);
 
   // Accumulate thin Q by applying the reflectors to the first k columns of I.
-  Matrix<T> q(m, k);
-  for (index j = 0; j < k; ++j) q(j, j) = T{1};
-  for (index j = k - 1; j >= 0; --j) {
-    if (betas[static_cast<std::size_t>(j)] == 0.0) continue;
-    apply_reflector(q, j, 0, reflectors[static_cast<std::size_t>(j)],
-                    betas[static_cast<std::size_t>(j)], scratch);
+  if (want_q) {
+    Matrix<T> q(m, k);
+    for (index j = 0; j < k; ++j) q(j, j) = T{1};
+    for (index j = k - 1; j >= 0; --j) {
+      if (betas[static_cast<std::size_t>(j)] == 0.0) continue;
+      apply_reflector(q, j, 0, reflectors[static_cast<std::size_t>(j)],
+                      betas[static_cast<std::size_t>(j)], scratch);
+    }
+    out.q = std::move(q);
   }
-  out.q = std::move(q);
 
   if (pivot) {
     const double r00 = std::abs(cd(out.r(0, 0)));
@@ -348,6 +350,12 @@ QrResult<T> qr_pivoted(const Matrix<T>& a, double rel_tol) {
 }
 
 template <typename T>
+QrResult<T> qr_pivoted_r(const Matrix<T>& a) {
+  PMTBR_CHECK_FINITE(a, "qr_pivoted_r input matrix");
+  return qr_impl(a, /*pivot=*/true, 0.0, /*want_q=*/false);
+}
+
+template <typename T>
 Matrix<T> orth(const Matrix<T>& a, double rel_tol) {
   auto f = qr_pivoted(a, rel_tol);
   return f.q.columns(0, std::max<index>(f.rank, 1));
@@ -359,6 +367,8 @@ template QrResult<double> qr_reference(const Matrix<double>&);
 template QrResult<cd> qr_reference(const Matrix<cd>&);
 template QrResult<double> qr_pivoted(const Matrix<double>&, double);
 template QrResult<cd> qr_pivoted(const Matrix<cd>&, double);
+template QrResult<double> qr_pivoted_r(const Matrix<double>&);
+template QrResult<cd> qr_pivoted_r(const Matrix<cd>&);
 template Matrix<double> orth(const Matrix<double>&, double);
 template Matrix<cd> orth(const Matrix<cd>&, double);
 

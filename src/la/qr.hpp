@@ -35,6 +35,12 @@ QrResult<T> qr_reference(const Matrix<T>& a);
 template <typename T>
 QrResult<T> qr_pivoted(const Matrix<T>& a, double rel_tol = 1e-12);
 
+/// Column-pivoted QR that never forms Q (`q` stays empty; `rank` counts the
+/// nonzero diagonal entries of R): the SVD's preconditioner when no
+/// singular vector needs Q.
+template <typename T>
+QrResult<T> qr_pivoted_r(const Matrix<T>& a);
+
 /// Orthonormal basis of the column space of A: the first `rank` columns of
 /// the pivoted Q.
 template <typename T>

@@ -186,39 +186,9 @@ double IncrementalCompressor::add_column(std::vector<double> v, index basis_rank
   return res_sq;
 }
 
-MatD IncrementalCompressor::r_dense() const {
-  const index k = rank_;
-  MatD r(std::max<index>(k, 1), std::max<index>(m_, 1));
-  for (index j = 0; j < m_; ++j) {
-    const auto& col = r_cols_[static_cast<std::size_t>(j)];
-    for (std::size_t i = 0; i < col.size(); ++i) r(static_cast<index>(i), j) = col[i];
-  }
-  return r;
-}
+namespace {
 
-std::vector<double> IncrementalCompressor::singular_values() const {
-  if (m_ == 0 || rank_ == 0) return {};
-  auto s = la::singular_values(r_dense());
-  s.resize(static_cast<std::size_t>(std::min<index>(rank_, m_)));
-  return s;
-}
-
-MatD IncrementalCompressor::basis(index order) const {
-  PMTBR_REQUIRE(order >= 1, "order must be positive");
-  PMTBR_ENSURE(rank_ > 0, "no columns absorbed");
-  const index k = rank_;
-  const index q = std::min(order, std::min<index>(k, m_));
-  const auto f = la::svd(r_dense());  // R = U S V^T; left vectors rotate Q
-  MatD out(n_, q);
-  // out = basisᵀ · U(:, 0:q): the basis rows are read through swapped
-  // strides, the leading q columns of U through its full row stride.
-  la::detail::gemm<double, false>(n_, q, k, basis_t_.data(), 1, n_, f.u.data(), f.u.cols(), 1,
-                                  out.data(), q, la::detail::GemmAcc::kSet);
-  return out;
-}
-
-index IncrementalCompressor::order_for_tolerance(double tol) const {
-  const auto s = singular_values();
+index tail_order(const std::vector<double>& s, double tol) {
   if (s.empty()) return 0;
   const double s1 = s.front();
   if (s1 <= 0) return 1;
@@ -231,6 +201,49 @@ index IncrementalCompressor::order_for_tolerance(double tol) const {
     ++q;
   }
   return std::max<index>(q, 1);
+}
+
+}  // namespace
+
+MatD IncrementalCompressor::r_factor() const {
+  const index k = rank_;
+  MatD r(std::max<index>(k, 1), std::max<index>(m_, 1));
+  for (index j = 0; j < m_; ++j) {
+    const auto& col = r_cols_[static_cast<std::size_t>(j)];
+    for (std::size_t i = 0; i < col.size(); ++i) r(static_cast<index>(i), j) = col[i];
+  }
+  return r;
+}
+
+Dominant IncrementalCompressor::dominant(const OrderRule& rule) const {
+  PMTBR_ENSURE(rank_ > 0, "no columns absorbed");
+  la::SvdResult f = la::svd_left(r_factor());  // R = U S V^T; left vectors rotate Q
+  index order = rule.fixed_order > 0 ? std::min(rule.fixed_order, rank_)
+                                     : tail_order(f.s, rule.truncation_tol);
+  if (rule.max_order > 0) order = std::min(order, rule.max_order);
+  order = std::max<index>(order, 1);
+  MatD basis(n_, order);
+  // basis = Q · U(:, 0:order): Q's stored rows are read through swapped
+  // strides, the leading columns of U through its full row stride.
+  la::detail::gemm<double, false>(n_, order, rank_, basis_t_.data(), 1, n_, f.u.data(),
+                                  f.u.cols(), 1, basis.data(), order, la::detail::GemmAcc::kSet);
+  return {std::move(f.s), std::move(basis)};
+}
+
+std::vector<double> IncrementalCompressor::singular_values() const {
+  if (m_ == 0 || rank_ == 0) return {};
+  auto s = la::singular_values(r_factor());
+  s.resize(static_cast<std::size_t>(rank_));
+  return s;
+}
+
+MatD IncrementalCompressor::basis(index order) const {
+  PMTBR_REQUIRE(order >= 1, "order must be positive");
+  return dominant({order, 0.0, -1}).basis;
+}
+
+index IncrementalCompressor::order_for_tolerance(double tol) const {
+  return tail_order(singular_values(), tol);
 }
 
 }  // namespace pmtbr::mor

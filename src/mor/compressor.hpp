@@ -20,6 +20,12 @@
 //
 // Both paths are deterministic for any thread count: the blocked path's
 // GEMM and TSQR building blocks are bit-reproducible by construction.
+//
+// A finish factors R exactly once: dominant() takes one SVD of R and reads
+// the order, the basis and the reported singular values off it. The
+// singular_values / basis / order_for_tolerance accessors are thin wrappers
+// that each pay for their own SVD. Every query is const and keeps no memo,
+// so one compressor may serve concurrent finishes.
 #pragma once
 
 #include <vector>
@@ -34,6 +40,22 @@ using la::MatD;
 enum class CompressorMode {
   kBlocked,    // block Gram–Schmidt + TSQR + small SVD
   kReference,  // seed per-column modified Gram–Schmidt
+};
+
+/// Order rule of a finish (paper Sec. V-C): a positive `fixed_order` wins
+/// (clamped to the rank); otherwise the smallest order whose trailing
+/// singular-value sum is at most truncation_tol·σ₁. A positive `max_order`
+/// then caps it, and the order is at least 1.
+struct OrderRule {
+  index fixed_order = -1;
+  double truncation_tol = 1e-8;
+  index max_order = -1;
+};
+
+/// What a finish reads off the absorbed matrix, from one SVD of R.
+struct Dominant {
+  std::vector<double> singular_values;  // all rank() of them, descending
+  MatD basis;                           // n×order, orthonormal dominant left subspace
 };
 
 class IncrementalCompressor {
@@ -54,6 +76,10 @@ class IncrementalCompressor {
   index rank() const { return rank_; }
   index columns_absorbed() const { return m_; }
 
+  /// One SVD of R: the singular values of the absorbed matrix and the
+  /// dominant left singular subspace of the order `rule` picks from them.
+  Dominant dominant(const OrderRule& rule) const;
+
   /// Singular values of the absorbed matrix, descending (length = rank()).
   std::vector<double> singular_values() const;
 
@@ -64,6 +90,9 @@ class IncrementalCompressor {
   /// Smallest order q whose trailing singular-value sum satisfies
   /// sum_{i>q} σ_i <= tol * σ_1 — the paper's "small tail" criterion.
   index order_for_tolerance(double tol) const;
+
+  /// The rank×m R factor of Z W = Q R (one column per absorbed column).
+  MatD r_factor() const;
 
  private:
   /// Per-block scratch reused across add_columns calls; Matrix::resize
@@ -84,7 +113,6 @@ class IncrementalCompressor {
   const double* basis_row(index l) const {
     return basis_t_.data() + static_cast<std::size_t>(l * n_);
   }
-  MatD r_dense() const;
 
   index n_;
   double drop_tol_;

@@ -6,6 +6,7 @@
 #include "la/ops.hpp"
 #include "la/svd.hpp"
 #include "mor/compressor.hpp"
+#include "mor/pmtbr.hpp"
 #include "util/rng.hpp"
 
 namespace pmtbr::mor {
@@ -63,17 +64,10 @@ InputCorrelatedResult input_correlated_tbr(const DescriptorSystem& sys, const Ma
     comp.add_columns(block);
   }
 
-  index order = opts.fixed_order > 0 ? std::min<index>(opts.fixed_order, comp.rank())
-                                     : comp.order_for_tolerance(opts.truncation_tol);
-  if (opts.max_order > 0) order = std::min(order, opts.max_order);
-  order = std::max<index>(order, 1);
-
-  const MatD v = comp.basis(order);
-  out.model.v = v;
-  out.model.w = v;
-  out.model.system = project_congruence(sys, v);
-  out.model.singular_values = comp.singular_values();
-  for (const double s : out.model.singular_values) out.hankel_estimates.push_back(s * s);
+  DominantProjection p =
+      project_dominant(sys, comp, {opts.fixed_order, opts.truncation_tol, opts.max_order});
+  out.model = std::move(p.model);
+  out.hankel_estimates = std::move(p.hankel_estimates);
   return out;
 }
 

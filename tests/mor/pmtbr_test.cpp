@@ -10,6 +10,7 @@
 #include "mor/pmtbr.hpp"
 #include "mor/tbr.hpp"
 #include "signal/subspace.hpp"
+#include "util/obs/counters.hpp"
 
 namespace pmtbr::mor {
 namespace {
@@ -209,6 +210,30 @@ TEST(Pmtbr, SingularEMatrixHandled) {
   const cd h_full = sys.transfer(s)(0, 0);
   const cd h_red = res.model.system.transfer(s)(0, 0);
   EXPECT_LT(std::abs(h_full - h_red) / std::abs(h_full), 1e-2);
+}
+
+TEST(Pmtbr, FinishTakesOneSvd) {
+  // The order rule, the basis and the reported singular values all come
+  // from a single SVD of the compressor's R factor, whichever rule applies.
+  circuit::RcMeshParams mp;
+  mp.rows = 12;
+  mp.cols = 12;
+  const auto sys = circuit::make_rc_mesh(mp);
+  PmtbrOptions opts;
+  opts.num_samples = 12;
+  opts.truncation_tol = 1e-6;
+  const SamplingStage stage = pmtbr_sample(sys, opts);
+  for (const index fixed : {index{-1}, index{5}}) {
+    opts.fixed_order = fixed;
+    const auto before = obs::counter_value(obs::Counter::kSvdCalls);
+    const PmtbrResult res = pmtbr_finish(sys, stage, opts);
+    EXPECT_EQ(obs::counter_value(obs::Counter::kSvdCalls) - before, 1);
+    EXPECT_EQ(res.model.singular_values, stage.compressor.singular_values());
+    const index order =
+        fixed > 0 ? fixed : stage.compressor.order_for_tolerance(opts.truncation_tol);
+    EXPECT_EQ(res.model.system.n(), order);
+    EXPECT_EQ(la::max_abs_diff(res.model.v, stage.compressor.basis(order)), 0.0);
+  }
 }
 
 }  // namespace

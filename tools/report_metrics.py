@@ -247,6 +247,9 @@ def validate_timing(path: Path, data: dict) -> list[str]:
             elif "gflops" in r and (not isinstance(r["gflops"], (int, float))
                                     or isinstance(r["gflops"], bool) or r["gflops"] < 0):
                 errors.append(f"records[{i}].gflops must be a nonnegative number")
+            elif "sweeps" in r and (not isinstance(r["sweeps"], int)
+                                    or isinstance(r["sweeps"], bool) or r["sweeps"] < 1):
+                errors.append(f"records[{i}].sweeps must be a positive integer")
     if "serve" in data:
         errors.extend(validate_serve_sweep(data["serve"]))
     if "repeated_workload" in data:
@@ -298,7 +301,8 @@ def show_manifest(data: dict) -> None:
 def show_timing(data: dict) -> None:
     print(f"bench: {data['bench']}")
     for r in data["records"]:
-        extras = "  ".join(f"{k}={r[k]}" for k in ("n", "samples", "threads") if k in r)
+        extras = "  ".join(f"{k}={r[k]}" for k in ("n", "samples", "threads", "sweeps")
+                           if k in r)
         if r.get("gflops"):
             extras += f"  {r['gflops']:.2f} GF/s"
         print(f"  {r['label']:<40}  {r['wall_seconds']:>10.4f}s  {extras}")
